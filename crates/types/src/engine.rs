@@ -219,11 +219,10 @@ pub trait TrafficSink {
     /// which keeps the disabled-observability path zero-cost.
     fn trace(&mut self, _event: TraceEventKind) {}
 
-    /// Moves the sink's notion of "now" forward. Batched drivers reuse one
-    /// sink across many requests at different simulated times and call this
-    /// before each request so time-bucketed accounting (traffic series)
-    /// lands in the right bucket. Sinks built for a single instant — and
-    /// every unit-count sink, `Vec<Message>` included — ignore it.
+    /// Moves the sink's notion of "now" forward. No driver in this workspace
+    /// calls it: the simulator builds its sinks at each request's time. The
+    /// no-op default remains only so that implementations outside the
+    /// workspace that override it keep compiling.
     fn set_time(&mut self, _time: SimTime) {}
 }
 
@@ -260,21 +259,11 @@ pub trait PlacementEngine {
     /// reporting every generated message to `out`.
     fn handle_write(&mut self, user: UserId, time: SimTime, out: &mut dyn TrafficSink);
 
-    /// Executes a batch of write requests, possibly in parallel, reporting
-    /// each request's messages to one of `sinks` (the sink count is the
-    /// driver's worker budget). Returns `true` when the engine executed the
-    /// whole batch, `false` when it declines — the driver then replays the
-    /// batch through [`handle_write`](Self::handle_write) one by one, so the
-    /// default keeps every existing engine correct with zero changes.
-    ///
-    /// The contract for engines that accept: the observable outcome (engine
-    /// state afterwards, and the multiset of messages across all sinks with
-    /// each message recorded at its request's time via
-    /// [`TrafficSink::set_time`]) must be byte-identical to calling
-    /// `handle_write` serially in batch order. The simulator only offers
-    /// batches whose accounting is order-independent (unit counting /
-    /// infinite network model), so engines are free to split the batch
-    /// across workers as long as per-request effects are preserved exactly.
+    /// Declines a batch of write requests by returning `false`. No driver
+    /// in this workspace calls it: every write goes through
+    /// [`handle_write`](Self::handle_write). The default remains only so
+    /// that implementations outside the workspace that override it keep
+    /// compiling.
     fn handle_write_batch(
         &mut self,
         writes: &[(UserId, SimTime)],
@@ -350,14 +339,6 @@ impl<T: PlacementEngine + ?Sized> PlacementEngine for Box<T> {
 
     fn handle_write(&mut self, user: UserId, time: SimTime, out: &mut dyn TrafficSink) {
         (**self).handle_write(user, time, out);
-    }
-
-    fn handle_write_batch(
-        &mut self,
-        writes: &[(UserId, SimTime)],
-        sinks: &mut [&mut (dyn TrafficSink + Send)],
-    ) -> bool {
-        (**self).handle_write_batch(writes, sinks)
     }
 
     fn on_tick(&mut self, time: SimTime, out: &mut dyn TrafficSink) {

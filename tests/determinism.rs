@@ -12,6 +12,7 @@ use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_sim::SimReport;
 use dynasore_topology::Tier;
 use dynasore_types::{MachineId, Message, MessageClass, RackId, TrafficSink};
+use std::path::PathBuf;
 
 const USERS: usize = 500;
 const SEED: u64 = 97;
@@ -139,88 +140,133 @@ fn failure_schedule() -> Vec<TimedClusterEvent> {
     ]
 }
 
+/// Runs the trace under [`failure_schedule`]. With `durable_dir`, every
+/// write is also mirrored into a fresh single-log durable tier there, and
+/// the directory is removed after the run.
 fn run_with_failures<E: PlacementEngine>(
     engine: E,
     graph: &SocialGraph,
     topology: &Topology,
+    durable_dir: Option<PathBuf>,
 ) -> SimReport {
     let trace = SyntheticTraceGenerator::paper_defaults(graph, 2, SEED).unwrap();
     let mut sim =
         Simulation::new(topology.clone(), engine, graph).with_cluster_events(failure_schedule());
-    sim.run(trace).unwrap()
+    if let Some(dir) = &durable_dir {
+        let _ = std::fs::remove_dir_all(dir);
+        let tier = SimDurableTier::open(dir, LogConfig::default()).unwrap();
+        sim = sim.with_durable_tier(Box::new(tier));
+    }
+    let report = sim.run(trace).unwrap();
+    drop(sim);
+    if let Some(dir) = &durable_dir {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+    report
 }
 
 /// A seeded simulation with a scheduled MachineDown/MachineUp pair (plus a
 /// rack outage, a drain and a capacity addition) must be byte-identical
 /// across runs for every engine kind, report nonzero recovery traffic, and
-/// reach 100% eventual availability.
+/// reach 100% eventual availability — both without and with a durable tier
+/// attached, whose I/O counters are part of the report.
 #[test]
 fn failure_schedules_interleave_deterministically() {
     let graph = graph();
     let topology = topology();
-
-    let runs: Vec<(SimReport, SimReport)> = vec![
-        (
-            run_with_failures(dynasore(&graph, &topology), &graph, &topology),
-            run_with_failures(dynasore(&graph, &topology), &graph, &topology),
-        ),
-        (
-            run_with_failures(
-                SparEngine::new(
+    for durable in [false, true] {
+        let dir = |run: &str| {
+            durable.then(|| {
+                std::env::temp_dir()
+                    .join(format!("dynasore-determinism-{run}-{}", std::process::id()))
+            })
+        };
+        let runs: Vec<(SimReport, SimReport)> = vec![
+            (
+                run_with_failures(
+                    dynasore(&graph, &topology),
                     &graph,
                     &topology,
-                    MemoryBudget::with_extra_percent(USERS, 40),
-                    SEED,
-                )
-                .unwrap(),
-                &graph,
-                &topology,
-            ),
-            run_with_failures(
-                SparEngine::new(
+                    dir("dynasore-a"),
+                ),
+                run_with_failures(
+                    dynasore(&graph, &topology),
                     &graph,
                     &topology,
-                    MemoryBudget::with_extra_percent(USERS, 40),
-                    SEED,
-                )
-                .unwrap(),
-                &graph,
-                &topology,
+                    dir("dynasore-b"),
+                ),
             ),
-        ),
-        (
-            run_with_failures(
-                StaticPlacement::random(&graph, &topology, SEED).unwrap(),
-                &graph,
-                &topology,
+            (
+                run_with_failures(
+                    SparEngine::new(
+                        &graph,
+                        &topology,
+                        MemoryBudget::with_extra_percent(USERS, 40),
+                        SEED,
+                    )
+                    .unwrap(),
+                    &graph,
+                    &topology,
+                    dir("spar-a"),
+                ),
+                run_with_failures(
+                    SparEngine::new(
+                        &graph,
+                        &topology,
+                        MemoryBudget::with_extra_percent(USERS, 40),
+                        SEED,
+                    )
+                    .unwrap(),
+                    &graph,
+                    &topology,
+                    dir("spar-b"),
+                ),
             ),
-            run_with_failures(
-                StaticPlacement::random(&graph, &topology, SEED).unwrap(),
-                &graph,
-                &topology,
+            (
+                run_with_failures(
+                    StaticPlacement::random(&graph, &topology, SEED).unwrap(),
+                    &graph,
+                    &topology,
+                    dir("random-a"),
+                ),
+                run_with_failures(
+                    StaticPlacement::random(&graph, &topology, SEED).unwrap(),
+                    &graph,
+                    &topology,
+                    dir("random-b"),
+                ),
             ),
-        ),
-    ];
-    for (a, b) in &runs {
-        assert_eq!(
-            a,
-            b,
-            "engine {} is not deterministic under failures",
-            a.engine_name()
-        );
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert!(
-            a.recovery_messages() > 0,
-            "engine {}: machine loss must cost recovery traffic",
-            a.engine_name()
-        );
-        assert_eq!(
-            a.availability(),
-            1.0,
-            "engine {}: every lost master must be recovered",
-            a.engine_name()
-        );
-        assert_eq!(a.unreachable_reads(), 0, "engine {}", a.engine_name());
+        ];
+        for (a, b) in &runs {
+            assert_eq!(
+                a,
+                b,
+                "engine {} is not deterministic under failures",
+                a.engine_name()
+            );
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert!(
+                a.recovery_messages() > 0,
+                "engine {}: machine loss must cost recovery traffic",
+                a.engine_name()
+            );
+            assert_eq!(
+                a.availability(),
+                1.0,
+                "engine {}: every lost master must be recovered",
+                a.engine_name()
+            );
+            assert_eq!(a.unreachable_reads(), 0, "engine {}", a.engine_name());
+            // The durable tier really engaged: appends and recovery replays.
+            assert_eq!(a.durable_io().is_some(), durable);
+            if let Some(io) = a.durable_io() {
+                assert!(
+                    io.appends > 0 && io.replays > 0,
+                    "engine {}",
+                    a.engine_name()
+                );
+            }
+        }
     }
 }
 
